@@ -37,6 +37,7 @@ import (
 	"math"
 
 	"repro/internal/checksum"
+	"repro/internal/pool"
 	"repro/internal/sparse"
 )
 
@@ -144,6 +145,11 @@ type Protected struct {
 	// CS is the reliable checksum encoding computed from A when it was known
 	// to be good.
 	CS *checksum.Matrix
+	// Pool, when non-nil, runs the product's rows across the worker pool
+	// (sparse.UsePool decides, by worker count and size) and Verify's y-
+	// and x-checksum passes as two concurrent pool tasks. Every result is
+	// bitwise that of a nil Pool, which runs the same code on the caller.
+	Pool *pool.Pool
 
 	mode   Mode
 	policy TolerancePolicy
@@ -159,6 +165,8 @@ type Protected struct {
 
 	// scratch for correction (avoid per-verify allocations)
 	cPrime1, cPrime2 []float64
+
+	passes verifyPasses
 }
 
 // tolSafety widens the Eq. (9) norm bound: the bound tracks the dominant
@@ -228,13 +236,14 @@ type RowSums struct {
 	S1, S2 float64
 }
 
-// MulVec computes y ← Ax over the possibly corrupted arrays with the
-// runtime Rowidx checksums fused into the product traversal (the separate
-// O(n) pass over Rowidx is gone; each entry is accumulated exactly once, in
-// index order, so sr is bitwise identical to the unfused two-pass code). It
-// never panics on corrupted indices: out-of-range row pointers are clamped
-// and out-of-range column indices contribute nothing — the checksum tests
-// flag the corruption afterwards.
+// MulVec computes y ← Ax over the possibly corrupted arrays and returns
+// the runtime Rowidx checksums sr. It never panics on corrupted indices:
+// out-of-range row pointers are clamped and out-of-range column indices
+// contribute nothing (sparse.MulVecRobust's row kernel) — the checksum
+// tests flag the corruption afterwards. The rows run on Pool through the
+// matrix's cached NNZ-balanced plan; sr is one sequential pass over
+// Rowidx in index order (checksum.SumsInt), so y and sr are bitwise the
+// same for every worker count.
 //
 // The output checksums are deliberately NOT fused into the product: the
 // defect tests must re-read y at verification time, because the window
@@ -244,76 +253,28 @@ type RowSums struct {
 // product time would silently absorb it. Verify instead reads y and x once
 // each (see defects).
 func (p *Protected) MulVec(y, x []float64) RowSums {
-	a := p.A
-	n := a.Rows
-	nnz := len(a.Val)
-	var sr RowSums
-	for i := 0; i < n; i++ {
-		lo, hi := a.Rowidx[i], a.Rowidx[i+1]
-		fv := float64(lo)
-		sr.S1 += fv
-		sr.S2 += float64(i+1) * fv
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > nnz {
-			hi = nnz
-		}
-		var s float64
-		for k := lo; k < hi; k++ {
-			if ind := a.Colid[k]; uint(ind) < uint(len(x)) {
-				s += a.Val[k] * x[ind]
-			}
-		}
-		y[i] = s
-	}
-	fv := float64(a.Rowidx[n])
-	sr.S1 += fv
-	sr.S2 += float64(n+1) * fv
-	return sr
+	p.A.MulVecRobustParallel(p.Pool, y, x)
+	return p.rowSums()
 }
 
 // MulVecBlock computes ys[j] ← A·xs[j] for every column in one traversal of
-// the possibly corrupted arrays, with the runtime Rowidx checksums fused in.
-// Each row's pointer pair is read and accumulated into sr exactly once — in
-// the same index order as MulVec — and each column's product accumulates
-// left-to-right with the same clamping and column-index guards, so every
-// output column and the returned sr are bitwise identical to k separate
-// MulVec calls (sr depends only on Rowidx, so one accumulation serves all
-// columns). The per-column output checksums are, as in MulVec, deliberately
-// NOT captured here: each column's Verify must re-read its y so the window
-// between product and verification stays protected.
+// the possibly corrupted arrays (sparse.MulVecBlockRobustParallel, on
+// Pool), with the same clamping and column-index guards as MulVec, so
+// every output column and the returned sr are bitwise identical to k
+// separate MulVec calls (sr depends only on Rowidx, so one pass serves all
+// columns). The per-column output checksums are, as in MulVec,
+// deliberately NOT captured here: each column's Verify must re-read its y
+// so the window between product and verification stays protected.
 func (p *Protected) MulVecBlock(ys, xs [][]float64) RowSums {
-	a := p.A
-	n := a.Rows
-	nnz := len(a.Val)
-	var sr RowSums
-	for i := 0; i < n; i++ {
-		lo, hi := a.Rowidx[i], a.Rowidx[i+1]
-		fv := float64(lo)
-		sr.S1 += fv
-		sr.S2 += float64(i+1) * fv
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > nnz {
-			hi = nnz
-		}
-		for j := range xs {
-			x := xs[j]
-			var s float64
-			for k := lo; k < hi; k++ {
-				if ind := a.Colid[k]; uint(ind) < uint(len(x)) {
-					s += a.Val[k] * x[ind]
-				}
-			}
-			ys[j][i] = s
-		}
-	}
-	fv := float64(a.Rowidx[n])
-	sr.S1 += fv
-	sr.S2 += float64(n+1) * fv
-	return sr
+	p.A.MulVecBlockRobustParallel(p.Pool, ys, xs)
+	return p.rowSums()
+}
+
+// rowSums is the paper's sr: the weighted sums of the live Rowidx, read
+// in index order.
+func (p *Protected) rowSums() RowSums {
+	s1, s2 := checksum.SumsInt(p.A.Rowidx)
+	return RowSums{S1: s1, S2: s2}
 }
 
 // defects computes the dx and dx′ defect pairs and their tolerances.
@@ -325,33 +286,101 @@ func (p *Protected) MulVecBlock(ys, xs [][]float64) RowSums {
 // weighted sums, ‖y‖∞ and — under TolComponent — the rounding masses) is
 // accumulated in ONE pass over y, and everything derived from x (C₁ᵀx,
 // C₂ᵀx, the reference sums, ‖x‖∞ and the componentwise masses) in ONE pass
-// over x, replacing the historical five-to-seven separate passes. Each
-// accumulator keeps the exact summation order of its former standalone
-// loop, so every defect and tolerance — and therefore every detection
-// outcome — is bitwise unchanged.
+// over x. The two passes are independent, so they run as two concurrent
+// tasks on Pool. Each accumulator keeps the exact summation order of its
+// former standalone loop, so every defect and tolerance — and therefore
+// every detection outcome — is bitwise unchanged.
 func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tolx1, tolx2, dxp1, dxp2, tolp1, tolp2 float64) {
 	comp := p.policy == TolComponent
+	v := &p.passes
+	v.p, v.y, v.x, v.comp = p, y, x, comp
+	if v.body == nil {
+		v.body = v.run
+	}
+	if sparse.UsePool(p.Pool, len(y)) {
+		p.Pool.Run(2, 1, v.body)
+	} else {
+		v.run(0, 2)
+	}
+	v.y, v.x = nil, nil
 
-	var sy1, sy2, normY, ay1, ay2 float64
-	for i, v := range y {
-		sy1 += v
-		sy2 += float64(i+1) * v
-		if v > normY {
-			normY = v
-		} else if -v > normY {
-			normY = -v
-		}
-		if comp {
-			av := math.Abs(v)
-			ay1 += av
-			ay2 += float64(i+1) * av
+	dx1 = v.sy1 - v.c1x
+	dx2 = v.sy2 - v.c2x
+	dxp1 = xRef.S1 - v.sx1
+	dxp2 = xRef.S2 - v.sx2
+
+	if comp {
+		// Componentwise bound (paper Eq. (7)) plus the rounding mass of the
+		// weighted sums of y — the same quantities ToleranceComponentBoth,
+		// roundTolY and VectorTolerance produce, from the fused passes.
+		gM := 2 * checksum.Gamma(2*p.CS.N)
+		gY := 2 * checksum.Gamma(len(y))
+		gX := 2 * checksum.Gamma(len(x))
+		tolx1 = gM*(v.ac1+math.Abs(p.CS.K)*v.ax1) + gY*v.ay1
+		tolx2 = gM*v.ac2 + gY*v.ay2
+		tolp1 = gX * v.ax1
+		tolp2 = gX * v.ax2
+		return
+	}
+	// TolNorm (paper Eq. (9)): the matrix factors are precomputed; each
+	// verification only needs the two max-norms.
+	tolx1 = p.tolX1Fac*v.normX + p.tolY1Fac*v.normY
+	tolx2 = p.tolX2Fac*v.normX + p.tolY2Fac*v.normY
+	tolp1 = p.tolP1Fac * v.normX
+	tolp2 = p.tolP2Fac * v.normX
+	return
+}
+
+// verifyPasses holds the inputs and results of defects' two passes, with
+// the pool body bound once so a pooled verification allocates nothing.
+type verifyPasses struct {
+	p    *Protected
+	y, x []float64
+	comp bool
+	body func(lo, hi int)
+
+	sy1, sy2, normY, ay1, ay2                     float64 // pass 0, over y
+	c1x, c2x, sx1, sx2, normX, ac1, ac2, ax1, ax2 float64 // pass 1, over x
+}
+
+// run executes passes [lo, hi) of {0: y, 1: x}.
+func (v *verifyPasses) run(lo, hi int) {
+	for t := lo; t < hi; t++ {
+		if t == 0 {
+			v.yPass()
+		} else {
+			v.xPass()
 		}
 	}
+}
 
-	c1, c2 := p.CS.C1, p.CS.C2
-	absC1, absC2 := p.CS.AbsC1, p.CS.AbsC2
+func (v *verifyPasses) yPass() {
+	comp := v.comp
+	var sy1, sy2, normY, ay1, ay2 float64
+	for i, e := range v.y {
+		sy1 += e
+		sy2 += float64(i+1) * e
+		if e > normY {
+			normY = e
+		} else if -e > normY {
+			normY = -e
+		}
+		if comp {
+			ae := math.Abs(e)
+			ay1 += ae
+			ay2 += float64(i+1) * ae
+		}
+	}
+	v.sy1, v.sy2, v.normY, v.ay1, v.ay2 = sy1, sy2, normY, ay1, ay2
+}
+
+func (v *verifyPasses) xPass() {
+	comp := v.comp
+	cs := v.p.CS
+	c1, c2 := cs.C1, cs.C2
+	absC1, absC2 := cs.AbsC1, cs.AbsC2
 	var c1x, c2x, sx1, sx2, normX, ac1, ac2, ax1, ax2 float64
-	for j, xj := range x {
+	for j, xj := range v.x {
 		c1x += c1[j] * xj
 		c2x += c2[j] * xj
 		sx1 += xj
@@ -369,32 +398,8 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 			ax2 += float64(j+1) * ax
 		}
 	}
-
-	dx1 = sy1 - c1x
-	dx2 = sy2 - c2x
-	dxp1 = xRef.S1 - sx1
-	dxp2 = xRef.S2 - sx2
-
-	if comp {
-		// Componentwise bound (paper Eq. (7)) plus the rounding mass of the
-		// weighted sums of y — the same quantities ToleranceComponentBoth,
-		// roundTolY and VectorTolerance produce, from the fused passes.
-		gM := 2 * checksum.Gamma(2*p.CS.N)
-		gY := 2 * checksum.Gamma(len(y))
-		gX := 2 * checksum.Gamma(len(x))
-		tolx1 = gM*(ac1+math.Abs(p.CS.K)*ax1) + gY*ay1
-		tolx2 = gM*ac2 + gY*ay2
-		tolp1 = gX * ax1
-		tolp2 = gX * ax2
-		return
-	}
-	// TolNorm (paper Eq. (9)): the matrix factors are precomputed; each
-	// verification only needs the two max-norms.
-	tolx1 = p.tolX1Fac*normX + p.tolY1Fac*normY
-	tolx2 = p.tolX2Fac*normX + p.tolY2Fac*normY
-	tolp1 = p.tolP1Fac * normX
-	tolp2 = p.tolP2Fac * normX
-	return
+	v.c1x, v.c2x, v.sx1, v.sx2, v.normX = c1x, c2x, sx1, sx2, normX
+	v.ac1, v.ac2, v.ax1, v.ax2 = ac1, ac2, ax1, ax2
 }
 
 // roundTolY bounds the rounding of the weighted sum of y itself.

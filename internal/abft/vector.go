@@ -4,6 +4,8 @@ import (
 	"math"
 
 	"repro/internal/checksum"
+	"repro/internal/pool"
+	"repro/internal/sparse"
 )
 
 // VectorGuard is the reliable two-row checksum shadow of a solver vector.
@@ -17,6 +19,8 @@ import (
 type VectorGuard struct {
 	ref  checksum.Vector
 	mode Mode
+
+	pair guardPair // CheckPair's state, kept on the first guard of the pair
 }
 
 // NewGuard captures the checksum of v, assumed fault-free at this moment.
@@ -26,6 +30,11 @@ func NewGuard(v []float64, mode Mode) *VectorGuard {
 
 // Refresh re-captures the checksum after a verified write of v.
 func (g *VectorGuard) Refresh(v []float64) { g.ref = checksum.NewVector(v) }
+
+// RefreshSums is Refresh for a writer that already has checksum.Sums of
+// the vector it wrote, such as a TMR vote (tmr.Executor), so the refresh
+// costs no pass over the vector.
+func (g *VectorGuard) RefreshSums(sums checksum.Vector) { g.ref = sums }
 
 // Reset re-arms the guard over a new vector and mode, as a fresh NewGuard
 // would (workspace reuse).
@@ -42,8 +51,7 @@ func (g *VectorGuard) Ref() checksum.Vector { return g.ref }
 // corrupted entry is located from the defect ratio and repaired in place
 // (including Inf/NaN poisoning, reconstructed from the first checksum row).
 func (g *VectorGuard) Check(v []float64) Outcome {
-	d1, d2 := g.ref.Defect(v)
-	t1, t2 := checksum.VectorTolerance(v)
+	d1, d2, t1, t2 := g.defects(v)
 	bad := exceeds(d1, t1) || (g.mode == DetectCorrect && exceeds(d2, t2))
 	if !bad {
 		return Outcome{}
@@ -52,6 +60,61 @@ func (g *VectorGuard) Check(v []float64) Outcome {
 		return Outcome{Detected: true, Class: ClassX}
 	}
 	return g.correct(v, d1, d2)
+}
+
+// defects returns the reference defects of v and their rounding
+// tolerances from one pass over v: the weighted sums accumulate in
+// checksum.Sums order and the absolute masses in
+// checksum.VectorTolerance order, so the four values are bitwise those of
+// Defect followed by VectorTolerance.
+func (g *VectorGuard) defects(v []float64) (d1, d2, t1, t2 float64) {
+	var s1, s2, a1, a2 float64
+	for i, x := range v {
+		w := float64(i + 1)
+		s1 += x
+		s2 += w * x
+		ax := math.Abs(x)
+		a1 += ax
+		a2 += w * ax
+	}
+	gm := 2 * checksum.Gamma(len(v))
+	return g.ref.S1 - s1, g.ref.S2 - s2, gm * a1, gm * a2
+}
+
+// CheckPair checks v against g and w against h — the two guard checks
+// that precede a protected product — as two concurrent tasks on pl when
+// sparse.UsePool allows it, inline otherwise. The checks share nothing, so
+// each outcome (and any in-place repair) is exactly that of its own
+// Check. g keeps the pair's dispatch state, so g must not be checked by
+// two CheckPair calls at once.
+func (g *VectorGuard) CheckPair(pl *pool.Pool, v []float64, h *VectorGuard, w []float64) (Outcome, Outcome) {
+	gp := &g.pair
+	gp.g, gp.v = [2]*VectorGuard{g, h}, [2][]float64{v, w}
+	if gp.body == nil {
+		gp.body = gp.run
+	}
+	if sparse.UsePool(pl, len(v)) {
+		pl.Run(2, 1, gp.body)
+	} else {
+		gp.run(0, 2)
+	}
+	gp.g, gp.v = [2]*VectorGuard{}, [2][]float64{}
+	return gp.out[0], gp.out[1]
+}
+
+// guardPair is CheckPair's dispatch state, with the pool body bound once
+// so a pooled pair check allocates nothing.
+type guardPair struct {
+	g    [2]*VectorGuard
+	v    [2][]float64
+	out  [2]Outcome
+	body func(lo, hi int)
+}
+
+func (gp *guardPair) run(lo, hi int) {
+	for t := lo; t < hi; t++ {
+		gp.out[t] = gp.g[t].Check(gp.v[t])
+	}
 }
 
 func (g *VectorGuard) correct(v []float64, d1, d2 float64) Outcome {
@@ -95,8 +158,7 @@ func (g *VectorGuard) correct(v []float64, d1, d2 float64) Outcome {
 }
 
 func (g *VectorGuard) recheck(v []float64) Outcome {
-	d1, d2 := g.ref.Defect(v)
-	t1, t2 := checksum.VectorTolerance(v)
+	d1, d2, t1, t2 := g.defects(v)
 	if exceeds(d1, t1) || exceeds(d2, t2) {
 		return Outcome{Detected: true, Class: ClassMultiple}
 	}

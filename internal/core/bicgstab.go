@@ -153,7 +153,7 @@ func SolveBiCGstab(a *sparse.CSR, b []float64, cfg BiCGstabConfig) ([]float64, S
 	*run = bicgRun{
 		costs:  costs,
 		stats:  Stats{Scheme: base.Scheme, D: 1, S: s},
-		prot:   ws.protected(live, mode),
+		prot:   ws.protected(live, mode, cfg.Pool),
 		rGuard: ws.guard(0, r, mode),
 		pGuard: ws.guard(1, p, mode),
 		sGuard: ws.guard(2, sv, mode),
@@ -226,8 +226,8 @@ func SolveBiCGstab(a *sparse.CSR, b []float64, cfg BiCGstabConfig) ([]float64, S
 
 		// Memory-fault checks on the guarded vectors.
 		bad := false
-		for i, g := range []*abft.VectorGuard{rGuard, xGuard} {
-			out := g.Check([][]float64{r, x}[i])
+		outR, outX := rGuard.CheckPair(cfg.Pool, r, xGuard, x)
+		for _, out := range [2]abft.Outcome{outR, outX} {
 			if out.Detected {
 				st.Detections++
 				if !out.Corrected {
@@ -300,15 +300,13 @@ func SolveBiCGstab(a *sparse.CSR, b []float64, cfg BiCGstabConfig) ([]float64, S
 			continue
 		}
 		run.alpha = run.rho / den
-		run.exec.AxpyTo(sv, -run.alpha, v, r)
-		sGuard.Refresh(sv)
+		sGuard.RefreshSums(run.exec.AxpyTo(sv, -run.alpha, v, r))
 
 		// Early half-step convergence.
 		if vec.Norm2(sv) <= base.Tol*normB {
-			run.exec.Axpy(run.alpha, p, x)
-			xGuard.Refresh(x)
+			xGuard.RefreshSums(run.exec.Axpy(run.alpha, p, x))
 			copy(r, sv)
-			rGuard.Refresh(r)
+			rGuard.RefreshSums(sGuard.Ref()) // r is now s, whose sums the s-guard holds
 			run.it++
 			if cfg.OnIteration != nil {
 				cfg.OnIteration(run.it, run.rho)
@@ -358,10 +356,8 @@ func SolveBiCGstab(a *sparse.CSR, b []float64, cfg BiCGstabConfig) ([]float64, S
 		}
 
 		run.exec.Axpy(run.alpha, p, x)
-		run.exec.Axpy(run.omega, sv, x)
-		xGuard.Refresh(x)
-		run.exec.AxpyTo(r, -run.omega, tv, sv)
-		rGuard.Refresh(r)
+		xGuard.RefreshSums(run.exec.Axpy(run.omega, sv, x))
+		rGuard.RefreshSums(run.exec.AxpyTo(r, -run.omega, tv, sv))
 
 		run.it++
 		if cfg.OnIteration != nil {

@@ -74,7 +74,7 @@ func NewBlockWorkspace() *BlockWorkspace { return &BlockWorkspace{} }
 func (bw *BlockWorkspace) Prewarm(a *sparse.CSR, scheme Scheme) {
 	live := bw.liveCopy(a)
 	if scheme != OnlineDetection {
-		bw.protected(live, abftMode(scheme))
+		bw.prot = renew(bw.prot, live, abftMode(scheme), nil)
 	}
 }
 
@@ -93,15 +93,6 @@ func (bw *BlockWorkspace) liveCopy(a *sparse.CSR) *sparse.CSR {
 	}
 	bw.live = a.Clone()
 	return bw.live
-}
-
-func (bw *BlockWorkspace) protected(a *sparse.CSR, mode abft.Mode) *abft.Protected {
-	if bw.prot == nil {
-		bw.prot = abft.NewProtected(a, mode)
-	} else {
-		bw.prot.Renew(a, mode)
-	}
-	return bw.prot
 }
 
 // lane returns the j-th per-RHS lane, growing the pool as needed. The
@@ -192,7 +183,8 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 	live := bw.liveCopy(a)
 	costs := NewCosts(live, cfg.Scheme, cfg.Costs)
 	mode := abftMode(cfg.Scheme)
-	prot := bw.protected(live, mode)
+	bw.prot = renew(bw.prot, live, mode, cfg.Pool)
+	prot := bw.prot
 
 	d, s := cfg.D, cfg.S
 	if d == 0 || s == 0 {
@@ -352,8 +344,7 @@ func (bl *blockLane) advance() {
 		// vectors written last iteration.
 		st.TimeIter += rs.costs.Titer
 		st.TimeVerif += rs.costs.Tverif
-		bl.outR = rs.rGuard.Check(rs.r)
-		bl.outX = rs.xGuard.Check(rs.x)
+		bl.outR, bl.outX = rs.rGuard.CheckPair(cfg.Pool, rs.r, rs.xGuard, rs.x)
 		bl.pending = true
 		return
 	}

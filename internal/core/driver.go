@@ -75,7 +75,7 @@ func Solve(a *sparse.CSR, b []float64, cfg Config) ([]float64, Stats, error) {
 	run.exec.Pool = cfg.Pool
 	if cfg.Scheme != OnlineDetection {
 		mode := abftMode(cfg.Scheme)
-		run.prot = ws.protected(live, mode)
+		run.prot = ws.protected(live, mode, cfg.Pool)
 		run.rGuard = ws.guard(0, run.r, mode)
 		run.pGuard = ws.guard(1, run.p, mode)
 		run.xGuard = ws.guard(2, run.x, mode)
@@ -247,8 +247,7 @@ func (rs *runState) iterate(deferredQ []fault.Event) bool {
 		st.TimeVerif += rs.costs.Tverif
 
 		// Memory-fault checks on the vectors written last iteration.
-		outR := rs.rGuard.Check(rs.r)
-		outX := rs.xGuard.Check(rs.x)
+		outR, outX := rs.rGuard.CheckPair(rs.cfg.Pool, rs.r, rs.xGuard, rs.x)
 
 		sr := rs.prot.MulVec(rs.q, rs.p)
 		for _, ev := range deferredQ {
@@ -324,10 +323,8 @@ func (rs *runState) recurrences(abftScheme bool) bool {
 	alpha := rs.rho / pq
 
 	if abftScheme {
-		rs.exec.Axpy(alpha, rs.p, rs.x)
-		rs.xGuard.Refresh(rs.x)
-		rs.exec.Axpy(-alpha, rs.q, rs.r)
-		rs.rGuard.Refresh(rs.r)
+		rs.xGuard.RefreshSums(rs.exec.Axpy(alpha, rs.p, rs.x))
+		rs.rGuard.RefreshSums(rs.exec.Axpy(-alpha, rs.q, rs.r))
 	} else {
 		vec.AxpyPool(rs.cfg.Pool, alpha, rs.p, rs.x)
 		vec.AxpyPool(rs.cfg.Pool, -alpha, rs.q, rs.r)
@@ -345,8 +342,7 @@ func (rs *runState) recurrences(abftScheme bool) bool {
 	}
 	beta := rhoNew / rs.rho
 	if abftScheme {
-		rs.exec.Xpay(beta, rs.r, rs.p)
-		rs.pGuard.Refresh(rs.p)
+		rs.pGuard.RefreshSums(rs.exec.Xpay(beta, rs.r, rs.p))
 	} else {
 		vec.XpayPool(rs.cfg.Pool, beta, rs.r, rs.p)
 	}

@@ -123,8 +123,8 @@ func SolvePCG(a *sparse.CSR, b []float64, cfg PCGConfig) ([]float64, Stats, erro
 
 	if base.Scheme != OnlineDetection {
 		mode := abftMode(base.Scheme)
-		p.protA = ws.protected(liveA, mode)
-		p.protM = ws.protectedM(liveM, mode)
+		p.protA = ws.protected(liveA, mode, cfg.Pool)
+		p.protM = ws.protectedM(liveM, mode, cfg.Pool)
 		p.rGuard = ws.guard(0, p.r, mode)
 		p.pGuard = ws.guard(1, p.p, mode)
 		p.xGuard = ws.guard(2, p.x, mode)
@@ -300,8 +300,7 @@ func (p *pcgRun) iterate(deferred []fault.Event) bool {
 	if abftScheme {
 		st.TimeVerif += p.costs.Tverif
 
-		outR := p.rGuard.Check(p.r)
-		outX := p.xGuard.Check(p.x)
+		outR, outX := p.rGuard.CheckPair(p.cfg.Pool, p.r, p.xGuard, p.x)
 
 		srA := p.protA.MulVec(p.q, p.p)
 		applyDeferred(fault.TargetVecQ)
@@ -341,10 +340,8 @@ func (p *pcgRun) iterate(deferred []fault.Event) bool {
 	alpha := p.rho / pq
 
 	if abftScheme {
-		p.exec.Axpy(alpha, p.p, p.x)
-		p.xGuard.Refresh(p.x)
-		p.exec.Axpy(-alpha, p.q, p.r)
-		p.rGuard.Refresh(p.r)
+		p.xGuard.RefreshSums(p.exec.Axpy(alpha, p.p, p.x))
+		p.rGuard.RefreshSums(p.exec.Axpy(-alpha, p.q, p.r))
 	} else {
 		vec.AxpyPool(p.cfg.Pool, alpha, p.p, p.x)
 		vec.AxpyPool(p.cfg.Pool, -alpha, p.q, p.r)
@@ -384,8 +381,7 @@ func (p *pcgRun) iterate(deferred []fault.Event) bool {
 	}
 	beta := rhoNew / p.rho
 	if abftScheme {
-		p.exec.Xpay(beta, p.z, p.p)
-		p.pGuard.Refresh(p.p)
+		p.pGuard.RefreshSums(p.exec.Xpay(beta, p.z, p.p))
 	} else {
 		vec.XpayPool(p.cfg.Pool, beta, p.z, p.p)
 	}

@@ -4,6 +4,7 @@ import (
 	"repro/internal/abft"
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
+	"repro/internal/pool"
 	"repro/internal/sparse"
 )
 
@@ -43,7 +44,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 func (w *Workspace) Prewarm(a *sparse.CSR, scheme Scheme) {
 	live := w.liveCopy(a)
 	if scheme != OnlineDetection {
-		w.protected(live, abftMode(scheme))
+		w.protected(live, abftMode(scheme), nil)
 	}
 }
 
@@ -117,24 +118,27 @@ func (w *Workspace) liveMCopy(m *sparse.CSR) *sparse.CSR {
 	return w.liveM
 }
 
-// protected returns the workspace's ABFT wrapper re-armed over a.
-func (w *Workspace) protected(a *sparse.CSR, mode abft.Mode) *abft.Protected {
-	if w.prot == nil {
-		w.prot = abft.NewProtected(a, mode)
-	} else {
-		w.prot.Renew(a, mode)
-	}
+// protected returns the workspace's ABFT wrapper re-armed over a, its
+// products and verifications running on pl.
+func (w *Workspace) protected(a *sparse.CSR, mode abft.Mode, pl *pool.Pool) *abft.Protected {
+	w.prot = renew(w.prot, a, mode, pl)
 	return w.prot
 }
 
 // protectedM is protected for the preconditioner slot.
-func (w *Workspace) protectedM(m *sparse.CSR, mode abft.Mode) *abft.Protected {
-	if w.protM == nil {
-		w.protM = abft.NewProtected(m, mode)
-	} else {
-		w.protM.Renew(m, mode)
-	}
+func (w *Workspace) protectedM(m *sparse.CSR, mode abft.Mode, pl *pool.Pool) *abft.Protected {
+	w.protM = renew(w.protM, m, mode, pl)
 	return w.protM
+}
+
+func renew(p *abft.Protected, a *sparse.CSR, mode abft.Mode, pl *pool.Pool) *abft.Protected {
+	if p == nil {
+		p = abft.NewProtected(a, mode)
+	} else {
+		p.Renew(a, mode)
+	}
+	p.Pool = pl
+	return p
 }
 
 // guard returns the i-th reusable vector guard re-armed over v.

@@ -142,13 +142,7 @@ func (m *CSR) MulVec(y, x []float64) {
 		panic(fmt.Sprintf("sparse: MulVec dimensions: A is %dx%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, len(x), len(y)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for k := m.Rowidx[i]; k < m.Rowidx[i+1]; k++ {
-			s += m.Val[k] * x[m.Colid[k]]
-		}
-		y[i] = s
-	}
+	m.plainRows(y, x, 0, m.Rows)
 }
 
 // MulVecSums computes y ← Ax and, fused into the same traversal, the
@@ -248,23 +242,7 @@ func (m *CSR) MulVecRobust(y, x []float64) {
 		panic(fmt.Sprintf("sparse: MulVecRobust dimensions: A is %dx%d, len(x)=%d, len(y)=%d",
 			m.Rows, m.Cols, len(x), len(y)))
 	}
-	nnz := len(m.Val)
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.Rowidx[i], m.Rowidx[i+1]
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > nnz {
-			hi = nnz
-		}
-		var s float64
-		for k := lo; k < hi; k++ {
-			if ind := m.Colid[k]; uint(ind) < uint(len(x)) {
-				s += m.Val[k] * x[ind]
-			}
-		}
-		y[i] = s
-	}
+	m.robustRows(y, x, 0, m.Rows)
 }
 
 // MulVecRobustSums is MulVecRobust fused with output checksum and max-norm

@@ -48,6 +48,11 @@ func (p Partition) Chunks() int {
 // fewer rows than chunks) collapse to fewer chunks; the result always
 // covers [0, Rows) exactly.
 func (m *CSR) NNZPartition(chunks int) Partition {
+	return Partition{Bounds: m.partitionInto(nil, chunks)}
+}
+
+// partitionInto is NNZPartition writing the bounds into dst's storage.
+func (m *CSR) partitionInto(dst []int, chunks int) []int {
 	rows := m.Rows
 	if chunks < 1 {
 		chunks = 1
@@ -56,11 +61,13 @@ func (m *CSR) NNZPartition(chunks int) Partition {
 		chunks = rows
 	}
 	if rows <= 0 {
-		return Partition{Bounds: []int{0, 0}}
+		return append(dst[:0], 0, 0)
 	}
 	total := m.Rowidx[rows]
-	bounds := make([]int, 1, chunks+1)
-	bounds[0] = 0
+	if cap(dst) < chunks+1 {
+		dst = make([]int, 0, chunks+1)
+	}
+	bounds := append(dst[:0], 0)
 	prev := 0
 	for c := 1; c < chunks; c++ {
 		// Smallest row ≥ prev whose prefix nnz reaches the c-th equal share.
@@ -79,8 +86,7 @@ func (m *CSR) NNZPartition(chunks int) Partition {
 		bounds = append(bounds, cut)
 		prev = cut
 	}
-	bounds = append(bounds, rows)
-	return Partition{Bounds: bounds}
+	return append(bounds, rows)
 }
 
 // planCache memoises partition plans per chunk count. The zero value is
@@ -88,7 +94,19 @@ func (m *CSR) NNZPartition(chunks int) Partition {
 // shared matrix may race to plan it.
 type planCache struct {
 	mu    sync.Mutex
-	plans map[int]Partition
+	plans map[int]*planSlot
+}
+
+// planSlot holds one chunk count's plan. An invalidated plan is rebuilt in
+// the storage of the plan before it, never in the storage just handed out,
+// so a holder of the latest plan keeps intact bounds across one
+// invalidation, and a matrix re-planned after every CopyFrom (the drivers'
+// working copies, restored each solve and on every rollback) allocates
+// nothing once both buffers exist.
+type planSlot struct {
+	bufs  [2][]int
+	cur   int
+	valid bool
 }
 
 // PlanFor returns the cached NNZ-balanced plan with the chunk count the
@@ -100,15 +118,20 @@ func (m *CSR) PlanFor(workers int) Partition {
 	chunks := planChunks(m.Rows, workers)
 	m.plan.mu.Lock()
 	defer m.plan.mu.Unlock()
-	if p, ok := m.plan.plans[chunks]; ok {
-		return p
+	slot := m.plan.plans[chunks]
+	if slot == nil {
+		if m.plan.plans == nil {
+			m.plan.plans = make(map[int]*planSlot)
+		}
+		slot = &planSlot{}
+		m.plan.plans[chunks] = slot
 	}
-	p := m.NNZPartition(chunks)
-	if m.plan.plans == nil {
-		m.plan.plans = make(map[int]Partition)
+	if !slot.valid {
+		slot.cur ^= 1
+		slot.bufs[slot.cur] = m.partitionInto(slot.bufs[slot.cur], chunks)
+		slot.valid = true
 	}
-	m.plan.plans[chunks] = p
-	return p
+	return Partition{Bounds: slot.bufs[slot.cur]}
 }
 
 // planChunks mirrors pool.chunksFor's sizing: enough chunks for dynamic
@@ -131,6 +154,8 @@ func planChunks(rows, workers int) int {
 // next parallel product re-balances.
 func (m *CSR) InvalidatePlans() {
 	m.plan.mu.Lock()
-	m.plan.plans = nil
+	for _, slot := range m.plan.plans {
+		slot.valid = false
+	}
 	m.plan.mu.Unlock()
 }

@@ -30,78 +30,80 @@ const minParallel = 2 * BlockSize
 // blocks returns the number of BlockSize blocks covering a length-n vector.
 func blocks(n int) int { return (n + BlockSize - 1) / BlockSize }
 
-// partialsPool recycles the per-reduction partial-sum scratch so the
-// blocked reductions allocate nothing in steady state. Partials are
-// indexed, not appended, so stale contents never leak into a fold.
-var partialsPool = sync.Pool{New: func() any {
-	s := make([]float64, 0, 64)
-	return &s
+// reduction is the state of one pooled blocked reduction. Reductions are
+// recycled through reductions with their block body bound once, so a
+// pooled DotPool or Norm2SqPool hands the pool a long-lived function value
+// and allocates nothing in steady state. Partials are indexed, not
+// appended, so stale contents never leak into a fold.
+type reduction struct {
+	a, b     []float64 // b == nil: sum of squares of a
+	partials []float64
+	body     func(blo, bhi int)
+}
+
+var reductions = sync.Pool{New: func() any {
+	r := &reduction{}
+	r.body = r.blocks
+	return r
 }}
 
-// foldBlocks runs partial(bi) for every block index across the pool and
-// folds the partials in ascending block order.
-func foldBlocks(p *pool.Pool, n int, partial func(lo, hi int) float64) float64 {
-	nb := blocks(n)
-	scratch := partialsPool.Get().(*[]float64)
-	if cap(*scratch) < nb {
-		*scratch = make([]float64, nb)
-	}
-	partials := (*scratch)[:nb]
-	body := func(blo, bhi int) {
-		for bi := blo; bi < bhi; bi++ {
-			lo := bi * BlockSize
-			hi := lo + BlockSize
-			if hi > n {
-				hi = n
-			}
-			partials[bi] = partial(lo, hi)
+// blocks computes the partials of blocks [blo, bhi), each summed
+// left-to-right.
+func (r *reduction) blocks(blo, bhi int) {
+	a, b, n := r.a, r.b, len(r.a)
+	for bi := blo; bi < bhi; bi++ {
+		lo := bi * BlockSize
+		hi := lo + BlockSize
+		if hi > n {
+			hi = n
 		}
+		var s float64
+		if b == nil {
+			for i := lo; i < hi; i++ {
+				s += a[i] * a[i]
+			}
+		} else {
+			for i := lo; i < hi; i++ {
+				s += a[i] * b[i]
+			}
+		}
+		r.partials[bi] = s
 	}
-	if p == nil || nb == 1 {
-		body(0, nb)
+}
+
+// foldBlocks computes the block partials of aᵀb (of ‖a‖₂² when b is nil)
+// across the pool, or inline when p is nil, and folds them in ascending
+// block order.
+func foldBlocks(p *pool.Pool, a, b []float64) float64 {
+	nb := blocks(len(a))
+	r := reductions.Get().(*reduction)
+	if cap(r.partials) < nb {
+		r.partials = make([]float64, nb)
+	}
+	r.a, r.b, r.partials = a, b, r.partials[:nb]
+	if p == nil {
+		r.blocks(0, nb)
 	} else {
-		p.Run(nb, 1, body)
+		p.Run(nb, 1, r.body)
 	}
 	var s float64
-	for _, v := range partials {
+	for _, v := range r.partials {
 		s += v
 	}
-	partialsPool.Put(scratch)
+	r.a, r.b = nil, nil
+	reductions.Put(r)
 	return s
 }
 
 // DotPool returns aᵀb using the deterministic blocked reduction, parallel
-// across p (sequential when p is nil, same result bit for bit). The
-// sequential path folds block partials inline — no scratch, no escaping
-// closures — so it allocates nothing.
+// across p (sequential when p is nil, same result bit for bit). Neither
+// path allocates once warm.
 func DotPool(p *pool.Pool, a, b []float64) float64 {
 	checkLen("DotPool", a, b)
 	if len(a) <= BlockSize {
 		return Dot(a, b)
 	}
-	if p == nil {
-		n := len(a)
-		var total float64
-		for lo := 0; lo < n; lo += BlockSize {
-			hi := lo + BlockSize
-			if hi > n {
-				hi = n
-			}
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += a[i] * b[i]
-			}
-			total += s
-		}
-		return total
-	}
-	return foldBlocks(p, len(a), func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += a[i] * b[i]
-		}
-		return s
-	})
+	return foldBlocks(p, a, b)
 }
 
 // Norm2SqPool returns ‖a‖₂² using the deterministic blocked reduction.
@@ -109,29 +111,7 @@ func Norm2SqPool(p *pool.Pool, a []float64) float64 {
 	if len(a) <= BlockSize {
 		return Norm2Sq(a)
 	}
-	if p == nil {
-		n := len(a)
-		var total float64
-		for lo := 0; lo < n; lo += BlockSize {
-			hi := lo + BlockSize
-			if hi > n {
-				hi = n
-			}
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += a[i] * a[i]
-			}
-			total += s
-		}
-		return total
-	}
-	return foldBlocks(p, len(a), func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += a[i] * a[i]
-		}
-		return s
-	})
+	return foldBlocks(p, a, nil)
 }
 
 // AxpyPool computes y ← y + alpha·x in place across the pool.
@@ -141,11 +121,7 @@ func AxpyPool(p *pool.Pool, alpha float64, x, y []float64) {
 		Axpy(alpha, x, y)
 		return
 	}
-	p.Run(len(x), BlockSize, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] += alpha * x[i]
-		}
-	})
+	runUpdate(p, y, alpha, x, y)
 }
 
 // AxpyToPool computes dst ← y + alpha·x across the pool.
@@ -156,11 +132,7 @@ func AxpyToPool(p *pool.Pool, dst []float64, alpha float64, x, y []float64) {
 		AxpyTo(dst, alpha, x, y)
 		return
 	}
-	p.Run(len(dst), BlockSize, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = y[i] + alpha*x[i]
-		}
-	})
+	runUpdate(p, dst, alpha, x, y)
 }
 
 // XpayPool computes y ← x + alpha·y in place across the pool.
@@ -170,9 +142,35 @@ func XpayPool(p *pool.Pool, alpha float64, x, y []float64) {
 		Xpay(alpha, x, y)
 		return
 	}
-	p.Run(len(x), BlockSize, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] = x[i] + alpha*y[i]
-		}
-	})
+	runUpdate(p, y, alpha, y, x)
+}
+
+// update is the state of one pooled element-wise kernel, recycled like
+// reduction: dst[i] = v[i] + alpha·u[i] covers Axpy (dst = v = y, u = x),
+// AxpyTo and Xpay (dst = u = y, v = x) with each kernel's own arithmetic.
+type update struct {
+	dst, u, v []float64
+	alpha     float64
+	body      func(lo, hi int)
+}
+
+var updates = sync.Pool{New: func() any {
+	u := &update{}
+	u.body = u.run
+	return u
+}}
+
+func (w *update) run(lo, hi int) {
+	dst, u, v, alpha := w.dst, w.u, w.v, w.alpha
+	for i := lo; i < hi; i++ {
+		dst[i] = v[i] + alpha*u[i]
+	}
+}
+
+func runUpdate(p *pool.Pool, dst []float64, alpha float64, u, v []float64) {
+	w := updates.Get().(*update)
+	w.dst, w.u, w.v, w.alpha = dst, u, v, alpha
+	p.Run(len(dst), BlockSize, w.body)
+	w.dst, w.u, w.v = nil, nil, nil
+	updates.Put(w)
 }
