@@ -317,15 +317,74 @@ func BenchmarkOptimalPlacementDP(b *testing.B) {
 
 // --- Worker-pool engine: parallel vs sequential hot kernels ---
 //
-// The BenchmarkPool* pairs quantify the internal/pool rewiring on matrices
-// above the parallel cutoff (n ≥ 100k rows). On a multicore host the
-// *Parallel variants should beat their *Sequential baselines by roughly the
-// core count; on a single-core host they degrade to the sequential path.
+// The BenchmarkPool* pairs run the same kernel on the same inputs with and
+// without the default pool. The pooled kernels engage from
+// sparse.ParallelMinRows (2,048) rows on a pool of more than one worker;
+// on a single-core host the *Parallel variants take the sequential path.
+// benchPoolMatrix (102,400 rows) sits far above the cutoff; the
+// ABFT-iteration pairs use suite matrix 1312 at the campaign's scale 8
+// (5,000 rows), a size the benchmark campaign solves.
 
-// benchPoolMatrix is a 2D Poisson system with n = 102400 ≥ 100k rows.
+// benchPoolMatrix is a 2D Poisson system with n = 102400 rows.
 func benchPoolMatrix(b *testing.B) *sparse.CSR {
 	b.Helper()
 	return sparse.Poisson2D(320, 320)
+}
+
+// benchSuitePoolMatrix is suite matrix 1312 at scale 8 (5,000 rows) with
+// one input vector, shared by both sides of each ABFT-iteration pair.
+func benchSuitePoolMatrix(b *testing.B) (*sparse.CSR, []float64) {
+	b.Helper()
+	sm, _ := sim.SuiteByID(1312)
+	a := sm.Generate(8)
+	return a, randVec(a.Cols, 1)
+}
+
+func BenchmarkPoolProtectedMulVecSequential(b *testing.B) {
+	benchPoolProtectedMulVec(b, nil)
+}
+
+func BenchmarkPoolProtectedMulVecParallel(b *testing.B) {
+	benchPoolProtectedMulVec(b, pool.Default())
+}
+
+// benchPoolProtectedMulVec times one protected product and its
+// verification, the ABFT share of a resilient iteration.
+func benchPoolProtectedMulVec(b *testing.B, p *pool.Pool) {
+	b.ReportAllocs()
+	a, x := benchSuitePoolMatrix(b)
+	pr := abft.NewProtected(a, abft.DetectCorrect)
+	pr.Pool = p
+	ref := checksum.NewVector(x)
+	y := make([]float64, a.Rows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sr := pr.MulVec(y, x)
+		if out := pr.Verify(y, x, ref, sr); out.Detected {
+			b.Fatal("false positive")
+		}
+	}
+}
+
+func BenchmarkTMRAxpySequential(b *testing.B) {
+	benchTMRAxpy(b, nil)
+}
+
+func BenchmarkTMRAxpyParallel(b *testing.B) {
+	benchTMRAxpy(b, pool.Default())
+}
+
+// benchTMRAxpy times one voted TMR axpy on the suite matrix's vector
+// length (the three replicas, the vote and its fused checksums).
+func benchTMRAxpy(b *testing.B, p *pool.Pool) {
+	b.ReportAllocs()
+	a, x := benchSuitePoolMatrix(b)
+	y := make([]float64, a.Rows)
+	e := tmr.Executor{Pool: p}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Axpy(1e-9, x, y)
+	}
 }
 
 func BenchmarkPoolSpMVSequential(b *testing.B) {

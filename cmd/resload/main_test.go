@@ -456,7 +456,7 @@ func TestLoadCampaignRejectsBad(t *testing.T) {
 func TestLoadCampaignNamesTruncationOffset(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "replay_golden.json"))
 	if err != nil {
-		t.Skip("no golden campaign recorded yet")
+		t.Fatalf("reading the committed golden campaign: %v", err)
 	}
 	dir := t.TempDir()
 	write := func(name string, body []byte) string {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitflip"
+	"repro/internal/checksum"
 )
 
 func randVec(n int, seed int64) []float64 {
@@ -145,5 +146,33 @@ func TestGuardFlops(t *testing.T) {
 	}
 	if FlopsRefresh(100) <= 0 {
 		t.Fatal("refresh flops must be positive")
+	}
+}
+
+// TestGuardFusedDefectsBitwise pins the one-pass guard check to the two
+// passes it replaced: Defect and VectorTolerance, bit for bit, on clean,
+// perturbed and poisoned vectors of the paper suite's lengths at scale 8.
+func TestGuardFusedDefectsBitwise(t *testing.T) {
+	for _, n := range []int{1, 7, 2500, 2881, 3800, 4555, 5000, 6120, 7500, 8128, 9344} {
+		v := randVec(n, int64(n))
+		g := NewGuard(v, DetectCorrect)
+		for _, strike := range []func(w []float64){
+			func([]float64) {},
+			func(w []float64) { w[n/2] += 1e-3 },
+			func(w []float64) { w[n-1] = -w[n-1] * 1e12 },
+			func(w []float64) { w[n/3] = math.NaN() },
+			func(w []float64) { w[0] = math.Inf(-1) },
+		} {
+			w := append([]float64(nil), v...)
+			strike(w)
+			d1, d2, t1, t2 := g.defects(w)
+			e1, e2 := g.ref.Defect(w)
+			u1, u2 := checksum.VectorTolerance(w)
+			for i, pair := range [][2]float64{{d1, e1}, {d2, e2}, {t1, u1}, {t2, u2}} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					t.Errorf("n=%d: fused value %d = %v, two-pass %v", n, i, pair[0], pair[1])
+				}
+			}
+		}
 	}
 }
