@@ -9,10 +9,12 @@ import (
 
 // ParallelMinRows is the row-count cutoff below which the pooled kernels
 // run inline on the caller: under it the work fits in cache and pool
-// dispatch costs more than it saves. UsePool applies it, and every pooled
-// path of the resilient drivers goes through UsePool: the products here,
-// the protected product and its verification passes (internal/abft) and
-// the TMR replicas (internal/tmr).
+// dispatch costs more than it saves. UsePool applies it to the row
+// products here and to every pooled step of the resilient drivers' ABFT
+// iteration: the protected product, its verification passes and the
+// guard checks (internal/abft) and the TMR replicas (internal/tmr). The
+// blocked vector kernels of internal/vec, which the unprotected and
+// Online-Detection iterations use, keep their own vec.BlockSize cutoffs.
 const ParallelMinRows = 2048
 
 // UsePool reports whether a kernel over n rows (or vector entries) should
