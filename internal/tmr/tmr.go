@@ -198,14 +198,11 @@ func (e *Executor) vote(out []float64) checksum.Vector {
 	var s1, s2 float64
 	for j := range out {
 		a, b, c := b0[j], b1[j], b2[j]
-		switch {
-		case a == b || a == c:
-			if a != b || a != c {
-				dissent = true
-			}
-		default:
+		if a != b || a != c {
 			dissent = true
-			a = b
+			if a != b && a != c {
+				a = b // b == c, or total disagreement
+			}
 		}
 		out[j] = a
 		s1 += a

@@ -48,7 +48,7 @@ var reductions = sync.Pool{New: func() any {
 }}
 
 // blocks computes the partials of blocks [blo, bhi), each summed
-// left-to-right.
+// left-to-right by the plain kernel.
 func (r *reduction) blocks(blo, bhi int) {
 	a, b, n := r.a, r.b, len(r.a)
 	for bi := blo; bi < bhi; bi++ {
@@ -57,23 +57,16 @@ func (r *reduction) blocks(blo, bhi int) {
 		if hi > n {
 			hi = n
 		}
-		var s float64
 		if b == nil {
-			for i := lo; i < hi; i++ {
-				s += a[i] * a[i]
-			}
+			r.partials[bi] = Norm2Sq(a[lo:hi])
 		} else {
-			for i := lo; i < hi; i++ {
-				s += a[i] * b[i]
-			}
+			r.partials[bi] = Dot(a[lo:hi], b[lo:hi])
 		}
-		r.partials[bi] = s
 	}
 }
 
 // foldBlocks computes the block partials of aᵀb (of ‖a‖₂² when b is nil)
-// across the pool, or inline when p is nil, and folds them in ascending
-// block order.
+// across the pool and folds them in ascending block order.
 func foldBlocks(p *pool.Pool, a, b []float64) float64 {
 	nb := blocks(len(a))
 	r := reductions.Get().(*reduction)
@@ -81,11 +74,7 @@ func foldBlocks(p *pool.Pool, a, b []float64) float64 {
 		r.partials = make([]float64, nb)
 	}
 	r.a, r.b, r.partials = a, b, r.partials[:nb]
-	if p == nil {
-		r.blocks(0, nb)
-	} else {
-		p.Run(nb, 1, r.body)
-	}
+	p.Run(nb, 1, r.body)
 	var s float64
 	for _, v := range r.partials {
 		s += v
@@ -96,20 +85,36 @@ func foldBlocks(p *pool.Pool, a, b []float64) float64 {
 }
 
 // DotPool returns aᵀb using the deterministic blocked reduction, parallel
-// across p (sequential when p is nil, same result bit for bit). Neither
-// path allocates once warm.
+// across p (sequential when p is nil, same result bit for bit). The
+// sequential path folds block partials inline — no scratch — and the
+// pooled path recycles its state, so neither allocates once warm.
 func DotPool(p *pool.Pool, a, b []float64) float64 {
 	checkLen("DotPool", a, b)
-	if len(a) <= BlockSize {
+	switch {
+	case len(a) <= BlockSize:
 		return Dot(a, b)
+	case p == nil:
+		var total float64
+		for lo := 0; lo < len(a); lo += BlockSize {
+			hi := min(lo+BlockSize, len(a))
+			total += Dot(a[lo:hi], b[lo:hi])
+		}
+		return total
 	}
 	return foldBlocks(p, a, b)
 }
 
 // Norm2SqPool returns ‖a‖₂² using the deterministic blocked reduction.
 func Norm2SqPool(p *pool.Pool, a []float64) float64 {
-	if len(a) <= BlockSize {
+	switch {
+	case len(a) <= BlockSize:
 		return Norm2Sq(a)
+	case p == nil:
+		var total float64
+		for lo := 0; lo < len(a); lo += BlockSize {
+			total += Norm2Sq(a[lo:min(lo+BlockSize, len(a))])
+		}
+		return total
 	}
 	return foldBlocks(p, a, nil)
 }
@@ -146,8 +151,9 @@ func XpayPool(p *pool.Pool, alpha float64, x, y []float64) {
 }
 
 // update is the state of one pooled element-wise kernel, recycled like
-// reduction: dst[i] = v[i] + alpha·u[i] covers Axpy (dst = v = y, u = x),
-// AxpyTo and Xpay (dst = u = y, v = x) with each kernel's own arithmetic.
+// reduction. dst[i] = v[i] + alpha·u[i] is each kernel's own arithmetic:
+// Axpy with (dst, u, v) = (y, x, y), AxpyTo with (dst, x, y) and Xpay
+// with (y, y, x).
 type update struct {
 	dst, u, v []float64
 	alpha     float64
