@@ -294,8 +294,8 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 	comp := p.policy == TolComponent
 	v := &p.passes
 	v.p, v.y, v.x, v.comp = p, y, x, comp
-	if v.body == nil {
-		v.body = v.run
+	if v.bound != v {
+		v.body, v.bound = v.run, v
 	}
 	if sparse.UsePool(p.Pool, len(y)) {
 		p.Pool.Run(2, 1, v.body)
@@ -334,10 +334,11 @@ func (p *Protected) defects(y, x []float64, xRef checksum.Vector) (dx1, dx2, tol
 // verifyPasses holds the inputs and results of defects' two passes, with
 // the pool body bound once so a pooled verification allocates nothing.
 type verifyPasses struct {
-	p    *Protected
-	y, x []float64
-	comp bool
-	body func(lo, hi int)
+	p     *Protected
+	y, x  []float64
+	comp  bool
+	body  func(lo, hi int)
+	bound *verifyPasses // the passes body is bound to; a copied Protected rebinds
 
 	sy1, sy2, normY, ay1, ay2                     float64 // pass 0, over y
 	c1x, c2x, sx1, sx2, normX, ac1, ac2, ax1, ax2 float64 // pass 1, over x

@@ -90,8 +90,8 @@ func (g *VectorGuard) defects(v []float64) (d1, d2, t1, t2 float64) {
 func (g *VectorGuard) CheckPair(pl *pool.Pool, v []float64, h *VectorGuard, w []float64) (Outcome, Outcome) {
 	gp := &g.pair
 	gp.g, gp.v = [2]*VectorGuard{g, h}, [2][]float64{v, w}
-	if gp.body == nil {
-		gp.body = gp.run
+	if gp.bound != gp {
+		gp.body, gp.bound = gp.run, gp
 	}
 	if sparse.UsePool(pl, len(v)) {
 		pl.Run(2, 1, gp.body)
@@ -105,10 +105,11 @@ func (g *VectorGuard) CheckPair(pl *pool.Pool, v []float64, h *VectorGuard, w []
 // guardPair is CheckPair's dispatch state, with the pool body bound once
 // so a pooled pair check allocates nothing.
 type guardPair struct {
-	g    [2]*VectorGuard
-	v    [2][]float64
-	out  [2]Outcome
-	body func(lo, hi int)
+	g     [2]*VectorGuard
+	v     [2][]float64
+	out   [2]Outcome
+	body  func(lo, hi int)
+	bound *guardPair // the pair body is bound to; a copied guard rebinds
 }
 
 func (gp *guardPair) run(lo, hi int) {

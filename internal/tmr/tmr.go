@@ -228,8 +228,7 @@ func blocks(n int) int {
 func (e *Executor) run(op, nb int, a, b []float64, alpha float64, out *[3][]float64) {
 	j := &e.job
 	if j.bound != j {
-		j.body = j.tasks
-		j.bound = j
+		j.body, j.bound = j.tasks, j
 	}
 	j.op, j.nb, j.a, j.b, j.alpha, j.out = op, nb, a, b, alpha, out
 	if sparse.UsePool(e.Pool, len(a)) {
