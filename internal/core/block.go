@@ -32,8 +32,10 @@ type BlockConfig struct {
 	MaxIters int
 	// Costs calibrates the time accounting; zero value means defaults.
 	Costs CostParams
-	// Pool, when non-nil, executes the confirmation and final-residual
-	// products on the worker pool; the arithmetic is identical either way.
+	// Pool, when non-nil, runs the block's protected product and each
+	// lane's ABFT iteration (as in Config) and the confirmation and
+	// final-residual products on the worker pool; the arithmetic is
+	// identical either way.
 	Pool *pool.Pool
 	// OnIteration, when non-nil, is called after every useful iteration of
 	// every right-hand side with the RHS index, the iteration count and the

@@ -66,10 +66,12 @@ type Config struct {
 	// corrections, rollbacks, checkpoints) for debugging and audits.
 	Trace func(format string, args ...any)
 	// Pool, when non-nil, executes the solver's hot kernels — the SpMxV row
-	// ranges and the blocked vector reductions — across the worker pool.
-	// Kernels use deterministic blocked summation, so a solve with any pool
-	// (including nil) produces a bitwise-identical iterate trajectory; the
-	// pool changes wall-clock time only, never the arithmetic.
+	// ranges and the blocked vector reductions, and under the ABFT schemes
+	// the protected product, its verification passes, the guard checks and
+	// the TMR replicas — across the worker pool. Kernels use deterministic
+	// blocked summation, so a solve with any pool (including nil) produces
+	// a bitwise-identical iterate trajectory; the pool changes wall-clock
+	// time only, never the arithmetic.
 	Pool *pool.Pool
 	// OnIteration, when non-nil, is called after every useful iteration with
 	// the iteration count and the current recurrence quantity ρ (‖r‖² for
