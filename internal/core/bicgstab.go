@@ -235,7 +235,7 @@ func SolveBiCGstab(a *sparse.CSR, b []float64, cfg BiCGstabConfig) ([]float64, S
 					break
 				}
 				st.Corrections++
-				st.TimeVerif += TcorrectVector(live, base.Costs)
+				st.TimeVerif += correctionCost(true, out.Class, costs, TcorrectVector(live, base.Costs))
 			}
 		}
 		if bad {
@@ -284,7 +284,7 @@ func SolveBiCGstab(a *sparse.CSR, b []float64, cfg BiCGstabConfig) ([]float64, S
 				continue
 			}
 			st.Corrections++
-			st.TimeVerif += costs.Tcorrect
+			st.TimeVerif += correctionCost(false, outV.Class, costs, TcorrectVector(live, base.Costs))
 			if outV.Class == abft.ClassVal || outV.Class == abft.ClassColid || outV.Class == abft.ClassRowidx {
 				prot.Reencode()
 			}
@@ -330,7 +330,7 @@ func SolveBiCGstab(a *sparse.CSR, b []float64, cfg BiCGstabConfig) ([]float64, S
 				continue
 			}
 			st.Corrections++
-			st.TimeVerif += costs.Tcorrect
+			st.TimeVerif += correctionCost(false, outT.Class, costs, TcorrectVector(live, base.Costs))
 			if outT.Class == abft.ClassVal || outT.Class == abft.ClassColid || outT.Class == abft.ClassRowidx {
 				prot.Reencode()
 			}

@@ -288,13 +288,7 @@ func (rs *runState) settleABFT(outR, outX abft.Outcome, sr abft.RowSums) bool {
 			return false
 		}
 		st.Corrections++
-		// Guard repairs (r, x) are O(n); product repairs may recompute
-		// the O(nnz) column checksums.
-		if i < 2 || out.Class == abft.ClassX {
-			st.TimeVerif += vecCorrect
-		} else {
-			st.TimeVerif += rs.costs.Tcorrect
-		}
+		st.TimeVerif += correctionCost(i < 2, out.Class, rs.costs, vecCorrect)
 		// A matrix repair restores the original entry only to rounding;
 		// re-anchor the bitwise checksum identity on the repaired matrix.
 		if i == 2 && (out.Class == abft.ClassVal || out.Class == abft.ClassColid || out.Class == abft.ClassRowidx) {
@@ -302,6 +296,16 @@ func (rs *runState) settleABFT(outR, outX abft.Outcome, sr abft.RowSums) bool {
 		}
 	}
 	return true
+}
+
+// correctionCost is the model time charged for one forward correction.
+// Guard repairs and a product's input-vector (ClassX) repairs are O(n);
+// every other product repair may recompute the O(nnz) column checksums.
+func correctionCost(guard bool, class abft.ErrorClass, costs Costs, vecCorrect float64) float64 {
+	if guard || class == abft.ClassX {
+		return vecCorrect
+	}
+	return costs.Tcorrect
 }
 
 // recurrences runs the CG recurrences (paper Algorithm 1, lines 6–10) after

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/abft"
 	"repro/internal/fault"
 	"repro/internal/solver"
 	"repro/internal/sparse"
@@ -286,6 +287,32 @@ func TestCostsSane(t *testing.T) {
 	}
 	if SetupCost(a, ABFTCorrection, cp) <= 0 {
 		t.Fatal("ABFT setup must cost something")
+	}
+}
+
+// TestCorrectionCostPerClass feeds every error class through the charge
+// rule all drivers share: guard repairs and input-vector (ClassX) product
+// repairs cost an O(n) vector repair, every other product repair the
+// O(nnz) column-checksum recomputation.
+func TestCorrectionCostPerClass(t *testing.T) {
+	a := sparse.RandomSPD(sparse.RandomSPDOptions{N: 300, Density: 0.05, DiagShift: 1, Seed: 14})
+	cp := DefaultCostParams()
+	costs := NewCosts(a, ABFTCorrection, cp)
+	vecCorrect := TcorrectVector(a, cp)
+	if vecCorrect >= costs.Tcorrect {
+		t.Fatalf("vector repair %v should be cheaper than a product repair %v", vecCorrect, costs.Tcorrect)
+	}
+	for class := abft.ClassNone; class <= abft.ClassMultiple; class++ {
+		if got := correctionCost(true, class, costs, vecCorrect); got != vecCorrect {
+			t.Errorf("guard repair, class %v: charged %v, want %v", class, got, vecCorrect)
+		}
+		want := costs.Tcorrect
+		if class == abft.ClassX {
+			want = vecCorrect
+		}
+		if got := correctionCost(false, class, costs, vecCorrect); got != want {
+			t.Errorf("product repair, class %v: charged %v, want %v", class, got, want)
+		}
 	}
 }
 

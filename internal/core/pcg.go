@@ -315,11 +315,9 @@ func (p *pcgRun) iterate(deferred []fault.Event) bool {
 				return false
 			}
 			st.Corrections++
+			st.TimeVerif += correctionCost(i < 2, out.Class, p.costs, TcorrectVector(p.a, p.cfg.Costs))
 			if i == 2 && (out.Class == abft.ClassVal || out.Class == abft.ClassColid || out.Class == abft.ClassRowidx) {
-				st.TimeVerif += p.costs.Tcorrect
 				p.protA.Reencode()
-			} else {
-				st.TimeVerif += TcorrectVector(p.a, p.cfg.Costs)
 			}
 		}
 	} else {
@@ -359,7 +357,7 @@ func (p *pcgRun) iterate(deferred []fault.Event) bool {
 				return false
 			}
 			st.Corrections++
-			st.TimeVerif += p.costs.Tcorrect
+			st.TimeVerif += correctionCost(false, outZ.Class, p.costs, TcorrectVector(p.a, p.cfg.Costs))
 			if outZ.Class == abft.ClassVal || outZ.Class == abft.ClassColid || outZ.Class == abft.ClassRowidx {
 				p.protM.Reencode()
 			}
