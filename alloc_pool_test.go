@@ -54,10 +54,10 @@ func TestZeroAllocPooledSolvers(t *testing.T) {
 	}
 	solves := []namedSolve{
 		{"core.SolvePCG", func() ([]float64, core.Stats, error) {
-			return core.SolvePCG(a, b, core.PCGConfig{Scheme: core.ABFTCorrection, M: m, Tol: 1e-8, S: 4, Pool: p, Ws: ws})
+			return core.SolvePCG(a, m, b, core.Config{Scheme: core.ABFTCorrection, Tol: 1e-8, S: 4, Pool: p, Ws: ws})
 		}},
 		{"core.SolveBiCGstab", func() ([]float64, core.Stats, error) {
-			return core.SolveBiCGstab(a, b, core.BiCGstabConfig{Scheme: core.ABFTCorrection, Tol: 1e-8, S: 4, Pool: p, Ws: ws})
+			return core.SolveBiCGstab(a, b, core.Config{Scheme: core.ABFTCorrection, Tol: 1e-8, S: 4, Pool: p, Ws: ws})
 		}},
 	}
 	for _, scheme := range []core.Scheme{core.ABFTDetection, core.ABFTCorrection, core.OnlineDetection} {

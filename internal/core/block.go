@@ -2,13 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/abft"
-	"repro/internal/fault"
 	"repro/internal/pool"
 	"repro/internal/sparse"
-	"repro/internal/vec"
 )
 
 // BlockConfig parameterises a blocked multi-RHS resilient solve. The axes
@@ -74,9 +71,9 @@ func NewBlockWorkspace() *BlockWorkspace { return &BlockWorkspace{} }
 // construction cost at fill time instead of on the request path. Optional;
 // never changes results.
 func (bw *BlockWorkspace) Prewarm(a *sparse.CSR, scheme Scheme) {
-	live := bw.liveCopy(a)
+	bw.live = liveCopy(bw.live, a)
 	if scheme != OnlineDetection {
-		bw.prot = renew(bw.prot, live, abftMode(scheme), nil)
+		bw.prot = renew(bw.prot, bw.live, abftMode(scheme), nil)
 	}
 }
 
@@ -87,52 +84,28 @@ func (bw *BlockWorkspace) begin() *BlockWorkspace {
 	return bw
 }
 
-// liveCopy mirrors Workspace.liveCopy for the shared slot.
-func (bw *BlockWorkspace) liveCopy(a *sparse.CSR) *sparse.CSR {
-	if bw.live != nil && bw.live.Rows == a.Rows && bw.live.Cols == a.Cols && len(bw.live.Val) == len(a.Val) {
-		bw.live.CopyFrom(a)
-		return bw.live
-	}
-	bw.live = a.Clone()
-	return bw.live
-}
-
 // lane returns the j-th per-RHS lane, growing the pool as needed. The
 // OnIteration closure is built once per lane and reads the workspace's
 // current callback, so warm solves install a new callback without
 // allocating.
 func (bw *BlockWorkspace) lane(j int) *blockLane {
 	for len(bw.lanes) <= j {
-		bl := &blockLane{ws: NewWorkspace(), idx: len(bw.lanes), bw: bw}
-		bl.cb = func(it int, rho float64) {
-			if f := bl.bw.onIter; f != nil {
-				f(bl.idx, it, rho)
+		idx := len(bw.lanes)
+		bw.lanes = append(bw.lanes, &blockLane{ws: NewWorkspace(), cb: func(it int, rho float64) {
+			if f := bw.onIter; f != nil {
+				f(idx, it, rho)
 			}
-		}
-		bw.lanes = append(bw.lanes, bl)
+		}})
 	}
 	return bw.lanes[j]
 }
 
-// blockLane is the per-RHS solve state of one block: a private workspace
-// (vectors, guards, checkpoint stores) plus the lockstep bookkeeping that
-// the sequential driver keeps in local variables of its loop.
+// blockLane is one right-hand side of a block: a private workspace whose
+// engine runs that system's CG (vectors, guards, checkpoint stores).
 type blockLane struct {
-	ws  *Workspace
-	idx int
-	bw  *BlockWorkspace
-	cb  func(it int, rho float64)
-
-	// outR/outX hold the pre-product guard outcomes across the shared
-	// product (the sequential driver computes and consumes them inside one
-	// iterate call).
-	outR, outX abft.Outcome
-	pending    bool
-	done       bool
-	err        error
-
-	finalRetries int
-	maxTotal     int64
+	ws   *Workspace
+	cb   func(it int, rho float64) // the lane's OnIteration
+	done bool
 }
 
 // SolveBlock runs the resilient CG of the configured ABFT scheme on the k
@@ -170,94 +143,35 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 	if cfg.Scheme != ABFTDetection && cfg.Scheme != ABFTCorrection {
 		return nil, fmt.Errorf("core: SolveBlock supports the ABFT schemes only, got %v", cfg.Scheme)
 	}
-	if cfg.Tol == 0 {
-		cfg.Tol = 1e-8
-	}
-	if cfg.MaxIters == 0 {
-		cfg.MaxIters = 20 * n
-	}
-	if cfg.Costs == (CostParams{}) {
-		cfg.Costs = DefaultCostParams()
-	}
+	base := Config{
+		Scheme: cfg.Scheme, S: cfg.S, D: cfg.D, Tol: cfg.Tol, MaxIters: cfg.MaxIters,
+		Costs: cfg.Costs, Pool: cfg.Pool,
+	}.withDefaults(n)
 
 	bw := cfg.Ws.begin()
 	bw.onIter = cfg.OnIteration
-	live := bw.liveCopy(a)
-	costs := NewCosts(live, cfg.Scheme, cfg.Costs)
-	mode := abftMode(cfg.Scheme)
-	bw.prot = renew(bw.prot, live, mode, cfg.Pool)
+	bw.live = liveCopy(bw.live, a)
+	live := bw.live
+	costs := NewCosts(live, base.Scheme, base.Costs)
+	bw.prot = renew(bw.prot, live, abftMode(base.Scheme), base.Pool)
 	prot := bw.prot
+	d, s := intervals(a, base, 0)
 
-	d, s := cfg.D, cfg.S
-	if d == 0 || s == 0 {
-		od, os := OptimalIntervals(a, cfg.Scheme, 0, cfg.Costs)
-		if d == 0 {
-			d = od
-		}
-		if s == 0 {
-			s = os
-		}
-	}
-	d = 1 // ABFT schemes verify every iteration by construction
-
-	// Per-lane setup, mirroring Solve's exactly: same take order, same
-	// initial checkpointing, same cost charges.
-	setup := SetupCost(live, cfg.Scheme, cfg.Costs)
+	// Each lane's engine is set up as Solve sets up its own, over the
+	// shared working matrix and encoding.
 	for j := 0; j < k; j++ {
 		lane := bw.lane(j)
 		ws := lane.ws.begin()
-		run := &ws.rs
-		exec := run.exec // preserve the TMR executor's resident replica scratch
-		laneCfg := Config{
-			Scheme: cfg.Scheme, S: s, D: d, Tol: cfg.Tol, MaxIters: cfg.MaxIters,
-			Costs: cfg.Costs, Pool: cfg.Pool, OnIteration: lane.cb, Ws: ws,
-		}
-		*run = runState{
-			cfg:   laneCfg,
-			costs: costs,
-			live:  live,
-			b:     bs[j],
-			x:     ws.takeZero(n),
-			r:     ws.takeCopy(bs[j]), // x0 = 0 ⇒ r0 = b
-			p:     ws.takeCopy(bs[j]),
-			q:     ws.take(n),
-			rr:    ws.take(n),
-			d:     d,
-			s:     s,
-		}
-		run.stats = Stats{Scheme: cfg.Scheme, D: d, S: s}
-		ws.state = fault.State{A: live, R: run.r, P: run.p, Q: run.q, X: run.x}
-		run.state = &ws.state
-		run.exec = exec
-		run.exec.Pool = cfg.Pool
-		run.prot = prot
-		run.rGuard = ws.guard(0, run.r, mode)
-		run.pGuard = ws.guard(1, run.p, mode)
-		run.xGuard = ws.guard(2, run.x, mode)
-		run.stats.SimTime += setup
-
-		run.store, run.initStore = ws.stores()
-		run.view = ws.liveView(live, nil)
-		run.view.Vectors["x"] = run.x
-		run.view.Vectors["r"] = run.r
-		run.view.Vectors["p"] = run.p
-		run.normB = vec.Norm2(bs[j])
-		if run.normB == 0 {
-			run.normB = 1
-		}
-		run.rho = vec.Norm2Sq(run.r)
-		run.saveCheckpoint(false) // initial state; re-reading inputs is free
-		run.initStore.Save(run.view)
-
-		lane.pending, lane.done, lane.err = false, false, nil
-		lane.outR, lane.outX = abft.Outcome{}, abft.Outcome{}
-		lane.finalRetries = 0
-		lane.maxTotal = int64(cfg.MaxIters)*10 + 1000
+		laneCfg := base
+		laneCfg.OnIteration = lane.cb
+		ws.startCG(ws.engine("CG", live, prot, costs, bs[j], laneCfg, d, s))
+		lane.done = false
 	}
 
-	// Lockstep rounds: each active lane advances to its product point, the
-	// gathered products run as one protected block traversal, and each lane
-	// completes its iteration on the shared Rowidx sums.
+	// Lockstep rounds: each active lane runs its loop head and the
+	// pre-product half of its iteration, the gathered products run as one
+	// protected block traversal, and each lane completes its iteration on
+	// the shared Rowidx sums.
 	for {
 		bw.ps, bw.qs, bw.idx = bw.ps[:0], bw.qs[:0], bw.idx[:0]
 		for j := 0; j < k; j++ {
@@ -265,116 +179,36 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 			if lane.done {
 				continue
 			}
-			lane.advance()
-			if lane.pending {
-				rs := &lane.ws.rs
-				bw.ps = append(bw.ps, rs.p)
-				bw.qs = append(bw.qs, rs.q)
-				bw.idx = append(bw.idx, j)
+			e := &lane.ws.eng
+			if !e.head() {
+				lane.done = true
+				continue
 			}
+			e.beforeProduct()
+			bw.ps = append(bw.ps, e.p)
+			bw.qs = append(bw.qs, e.q)
+			bw.idx = append(bw.idx, j)
 		}
 		if len(bw.idx) == 0 {
 			break
 		}
 		sr := prot.MulVecBlock(bw.qs, bw.ps)
 		for _, j := range bw.idx {
-			bw.lanes[j].finish(sr)
+			ws := bw.lanes[j].ws
+			res := stepRollback
+			if ws.eng.afterProduct(sr) && ws.cg.recurrences() {
+				res = stepDone
+			}
+			ws.eng.tail(res)
 		}
 	}
 
-	// Finalisation mirrors Solve: compose SimTime and recompute the true
-	// residual on the caller's pristine matrix.
 	bw.xs = bw.xs[:0]
 	for j := 0; j < k; j++ {
-		lane := bw.lanes[j]
-		rs := &lane.ws.rs
-		st := &rs.stats
-		st.SimTime = st.TimeIter + st.TimeVerif + st.TimeCkpt + st.TimeRecovery + st.SimTime
-		rr := rs.rr
-		a.MulVecParallel(cfg.Pool, rr, rs.x)
-		vec.Sub(rr, rs.b, rr)
-		st.FinalResidual = vec.Norm2(rr) / rs.normB
-		sts[j] = *st
-		errs[j] = lane.err
-		bw.xs = append(bw.xs, rs.x)
+		e := &bw.lanes[j].ws.eng
+		x, st, err := e.finish(a)
+		sts[j], errs[j] = st, err
+		bw.xs = append(bw.xs, x)
 	}
 	return bw.xs, nil
-}
-
-// advance replays the head of the sequential driver's loop for one lane —
-// convergence test with confirmed true residual, iteration budget, the
-// pre-product cost charges and guard checks — and stops either because the
-// lane finished (done) or because its product q ← A·p is pending in the
-// next shared block traversal.
-func (bl *blockLane) advance() {
-	rs := &bl.ws.rs
-	cfg := rs.cfg
-	st := &rs.stats
-	for {
-		if math.Sqrt(rs.rho) <= cfg.Tol*rs.normB {
-			st.TimeVerif += rs.costs.Titer // one confirmation SpMxV
-			rs.live.MulVecRobustParallel(cfg.Pool, rs.q, rs.x)
-			vec.Sub(rs.q, rs.b, rs.q)
-			confirmTol := math.Max(10*cfg.Tol, 1e-6) * rs.normB
-			if tr := vec.Norm2(rs.q); tr <= confirmTol && !math.IsNaN(tr) {
-				st.Converged = true
-				st.UsefulIterations = rs.it
-				bl.done = true
-				return
-			}
-			bl.finalRetries++
-			if bl.finalRetries >= maxFinalCheckRetries {
-				st.UsefulIterations = rs.it
-				bl.err = fmt.Errorf("core: %v: convergence confirmation kept failing (latent corruption)", cfg.Scheme)
-				bl.done = true
-				return
-			}
-			rs.rollback()
-			continue
-		}
-		if rs.it >= cfg.MaxIters || st.TotalIterations >= bl.maxTotal {
-			st.UsefulIterations = rs.it
-			bl.err = fmt.Errorf("core: %v: not converged after %d useful (%d total) iterations",
-				cfg.Scheme, rs.it, st.TotalIterations)
-			bl.done = true
-			return
-		}
-
-		st.TotalIterations++
-		// Pre-product half of the ABFT iteration (no fault injection in
-		// block mode): cost charges and the memory-fault checks on the
-		// vectors written last iteration.
-		st.TimeIter += rs.costs.Titer
-		st.TimeVerif += rs.costs.Tverif
-		bl.outR, bl.outX = rs.rGuard.CheckPair(cfg.Pool, rs.r, rs.xGuard, rs.x)
-		bl.pending = true
-		return
-	}
-}
-
-// finish completes one lane's iteration after the shared block product:
-// verification against the shared Rowidx sums, the CG recurrences, and the
-// post-iteration bookkeeping — exactly the sequence the sequential driver
-// runs, so outcomes and checkpoint cadence match bitwise.
-func (bl *blockLane) finish(sr abft.RowSums) {
-	rs := &bl.ws.rs
-	cfg := rs.cfg
-	bl.pending = false
-	if !rs.settleABFT(bl.outR, bl.outX, sr) || !rs.recurrences(true) {
-		rs.rollback()
-		return
-	}
-	rs.it++
-	if cfg.OnIteration != nil {
-		cfg.OnIteration(rs.it, rs.rho)
-	}
-	if rs.it > rs.highWater {
-		rs.highWater = rs.it
-		rs.stuck = 0
-	}
-	if rs.it%rs.d == 0 { // chunk boundary (d = 1 for the ABFT schemes)
-		if (rs.it/rs.d)%rs.s == 0 && rs.it > rs.last {
-			rs.saveCheckpoint(true)
-		}
-	}
 }

@@ -176,12 +176,12 @@ func (c driverCase) run(t *testing.T, ws *Workspace) driverRecord {
 		if perr != nil {
 			t.Fatal(perr)
 		}
-		_, st, err = SolvePCG(c.a, b, PCGConfig{
-			Scheme: c.scheme, M: m, Tol: 1e-9, MaxIters: c.maxIters, Injector: inj,
+		_, st, err = SolvePCG(c.a, m, b, Config{
+			Scheme: c.scheme, Tol: 1e-9, MaxIters: c.maxIters, Injector: inj,
 			OnIteration: tr.onIter, OnDetection: tr.onDetect, Ws: ws,
 		})
 	case "bicgstab":
-		_, st, err = SolveBiCGstab(c.a, b, BiCGstabConfig{
+		_, st, err = SolveBiCGstab(c.a, b, Config{
 			Scheme: c.scheme, Tol: 1e-9, MaxIters: c.maxIters, Injector: inj,
 			OnIteration: tr.onIter, OnDetection: tr.onDetect, Ws: ws,
 		})

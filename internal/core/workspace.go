@@ -9,7 +9,7 @@ import (
 )
 
 // Workspace is the reusable arena of the resilient drivers. A solve that
-// carries one (Config.Ws / PCGConfig.Ws / BiCGstabConfig.Ws) draws its
+// carries one (Config.Ws) draws its
 // working matrix copy, iteration vectors, checksum encodings, vector
 // guards and checkpoint stores from the workspace instead of the heap, so
 // repeated solves — the inner loop of every fault campaign — allocate
@@ -26,9 +26,10 @@ type Workspace struct {
 	initStore   *checkpoint.Store
 	state       fault.State
 	view        checkpoint.State
-	rs          runState
-	pr          pcgRun
-	br          bicgRun
+	eng         engine
+	cg          cg
+	pcg         pcg
+	bicg        bicgstab
 }
 
 // NewWorkspace returns an empty workspace; storage is created on first use
@@ -42,9 +43,9 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // carrying this workspace against a same-shaped matrix reuses the storage
 // built here. Prewarming is optional and never changes results.
 func (w *Workspace) Prewarm(a *sparse.CSR, scheme Scheme) {
-	live := w.liveCopy(a)
+	w.live = liveCopy(w.live, a)
 	if scheme != OnlineDetection {
-		w.protected(live, abftMode(scheme), nil)
+		w.prot = renew(w.prot, w.live, abftMode(scheme), nil)
 	}
 }
 
@@ -96,41 +97,19 @@ func (w *Workspace) takeCopy(src []float64) []float64 {
 	return b
 }
 
-// liveCopy returns the workspace's working copy of a, refreshed from a
-// (in place when the shapes match, so the caller's matrix is never
-// aliased and a warm workspace never reallocates it).
-func (w *Workspace) liveCopy(a *sparse.CSR) *sparse.CSR {
-	if w.live != nil && w.live.Rows == a.Rows && w.live.Cols == a.Cols && len(w.live.Val) == len(a.Val) {
-		w.live.CopyFrom(a)
-		return w.live
+// liveCopy returns a working copy of a: live refreshed in place when the
+// shapes match, so the caller's matrix is never aliased and a warm
+// workspace never reallocates it, or a new clone.
+func liveCopy(live, a *sparse.CSR) *sparse.CSR {
+	if live != nil && live.Rows == a.Rows && live.Cols == a.Cols && len(live.Val) == len(a.Val) {
+		live.CopyFrom(a)
+		return live
 	}
-	w.live = a.Clone()
-	return w.live
+	return a.Clone()
 }
 
-// liveMCopy is liveCopy for the preconditioner slot.
-func (w *Workspace) liveMCopy(m *sparse.CSR) *sparse.CSR {
-	if w.liveM != nil && w.liveM.Rows == m.Rows && w.liveM.Cols == m.Cols && len(w.liveM.Val) == len(m.Val) {
-		w.liveM.CopyFrom(m)
-		return w.liveM
-	}
-	w.liveM = m.Clone()
-	return w.liveM
-}
-
-// protected returns the workspace's ABFT wrapper re-armed over a, its
+// renew returns p re-armed over a (a new wrapper when p is nil), its
 // products and verifications running on pl.
-func (w *Workspace) protected(a *sparse.CSR, mode abft.Mode, pl *pool.Pool) *abft.Protected {
-	w.prot = renew(w.prot, a, mode, pl)
-	return w.prot
-}
-
-// protectedM is protected for the preconditioner slot.
-func (w *Workspace) protectedM(m *sparse.CSR, mode abft.Mode, pl *pool.Pool) *abft.Protected {
-	w.protM = renew(w.protM, m, mode, pl)
-	return w.protM
-}
-
 func renew(p *abft.Protected, a *sparse.CSR, mode abft.Mode, pl *pool.Pool) *abft.Protected {
 	if p == nil {
 		p = abft.NewProtected(a, mode)

@@ -238,6 +238,11 @@ func SolveWith(a *sparse.CSR, b []float64, sc Scenario, seed int64, opt SolveOpt
 	if sc.Alpha > 0 {
 		inj = fault.New(fault.Config{Alpha: sc.Alpha, Seed: seed})
 	}
+	cfg := core.Config{
+		Scheme: scheme, S: sc.S, D: sc.D, Tol: sc.Tol,
+		MaxIters: sc.MaxIters, Injector: inj, Pool: opt.Pool, OnIteration: opt.OnIteration,
+		OnDetection: opt.OnDetection, Ws: coreWs,
+	}
 	switch sc.Solver {
 	case "pcg":
 		m := opt.M
@@ -247,23 +252,11 @@ func SolveWith(a *sparse.CSR, b []float64, sc Scenario, seed int64, opt SolveOpt
 				return nil, core.Stats{}, err
 			}
 		}
-		return core.SolvePCG(a, b, core.PCGConfig{
-			Scheme: scheme, M: m, S: sc.S, D: sc.D, Tol: sc.Tol,
-			MaxIters: sc.MaxIters, Injector: inj, Pool: opt.Pool, OnIteration: opt.OnIteration,
-			OnDetection: opt.OnDetection, Ws: coreWs,
-		})
+		return core.SolvePCG(a, m, b, cfg)
 	case "bicgstab":
-		return core.SolveBiCGstab(a, b, core.BiCGstabConfig{
-			Scheme: scheme, S: sc.S, Tol: sc.Tol,
-			MaxIters: sc.MaxIters, Injector: inj, Pool: opt.Pool, OnIteration: opt.OnIteration,
-			OnDetection: opt.OnDetection, Ws: coreWs,
-		})
+		return core.SolveBiCGstab(a, b, cfg)
 	default: // cg
-		return core.Solve(a, b, core.Config{
-			Scheme: scheme, S: sc.S, D: sc.D, Tol: sc.Tol,
-			MaxIters: sc.MaxIters, Injector: inj, Pool: opt.Pool, OnIteration: opt.OnIteration,
-			OnDetection: opt.OnDetection, Ws: coreWs,
-		})
+		return core.Solve(a, b, cfg)
 	}
 }
 
