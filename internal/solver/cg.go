@@ -1,6 +1,6 @@
 // Package solver implements the unprotected baseline iterative solvers:
-// Conjugate Gradient (the paper's Algorithm 1), Jacobi-preconditioned CG,
-// BiCGstab and restarted GMRES. The paper's resilience techniques target
+// Conjugate Gradient (the paper's Algorithm 1), Jacobi-preconditioned CG
+// and BiCGstab. The paper's resilience techniques target
 // "any iterative solver that uses sparse matrix vector multiplies and
 // vector operations" — CGNE, BiCG, BiCGstab and preconditioned variants are
 // named explicitly — so the baselines beyond CG both ground that claim and
