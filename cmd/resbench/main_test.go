@@ -67,26 +67,37 @@ func TestRunEmitsSchemaStableJSON(t *testing.T) {
 }
 
 // TestRunDeterministicAcrossWorkers pins the CLI-level determinism
-// contract: -workers changes wall clock only, never the canonical record.
+// contract over the whole smoke tier: -workers changes wall clock only,
+// never the canonical record. The runs at 1, 2 and 4 workers go to
+// files, and -merge, which refuses records whose deterministic content
+// differs, must accept them.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	canonical := func(workersFlag string) string {
+	dir := t.TempDir()
+	var outs []string
+	for _, w := range []string{"1", "2", "4"} {
+		out := filepath.Join(dir, "smoke-w"+w+".json")
 		var stdout, stderr bytes.Buffer
-		args := []string{"-run", "smoke/pcg/abft-correction/suite2213", "-json", "-q", "-workers", workersFlag}
-		if err := run(args, &stdout, &stderr); err != nil {
-			t.Fatalf("workers=%s: %v", workersFlag, err)
+		if err := run([]string{"-filter", "smoke", "-q", "-workers", w, "-out", out}, &stdout, &stderr); err != nil {
+			t.Fatalf("workers=%s: %v\nstderr: %s", w, err, stderr.String())
 		}
-		rs, err := harness.ReadResults(&stdout)
-		if err != nil || len(rs) != 1 {
-			t.Fatalf("workers=%s: bad output: %v", workersFlag, err)
-		}
-		b, _ := json.Marshal(rs[0].Canonical())
-		return string(b)
+		outs = append(outs, out)
 	}
-	want := canonical("1")
-	for _, w := range []string{"2", "4"} {
-		if got := canonical(w); got != want {
-			t.Fatalf("workers=%s record diverged:\n%s\nvs\n%s", w, got, want)
-		}
+	merged := filepath.Join(dir, "merged.json")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-merge", strings.Join(outs, ","), "-out", merged}, &stdout, &stderr); err != nil {
+		t.Fatalf("-merge refused the per-worker-count runs: %v\nstderr: %s", err, stderr.String())
+	}
+	f, err := os.Open(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rs, err := harness.ReadResults(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 7 {
+		t.Fatalf("merged %d records, want the 7 smoke scenarios", len(rs))
 	}
 }
 
