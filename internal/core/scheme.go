@@ -42,9 +42,11 @@ func (s Scheme) String() string {
 // Schemes lists all three, in the paper's presentation order.
 var Schemes = []Scheme{OnlineDetection, ABFTDetection, ABFTCorrection}
 
-// Config parameterises a resilient solve.
+// Config parameterises a resilient solve by Solve, SolvePCG or
+// SolveBiCGstab.
 type Config struct {
-	// Scheme selects the resilience method.
+	// Scheme selects the resilience method. SolveBiCGstab supports the
+	// ABFT schemes only.
 	Scheme Scheme
 	// S is the checkpoint interval in chunks (the paper's s). 0 means
 	// model-optimal via Eq. (6).
@@ -75,8 +77,8 @@ type Config struct {
 	Pool *pool.Pool
 	// OnIteration, when non-nil, is called after every useful iteration with
 	// the iteration count and the current recurrence quantity ρ (‖r‖² for
-	// CG, rᵀz for PCG). Tests use it to compare residual histories across
-	// execution modes.
+	// CG, rᵀz for PCG, r̂ᵀr for BiCGstab). Tests use it to compare residual
+	// histories across execution modes.
 	OnIteration func(it int, rho float64)
 	// OnDetection, when non-nil, is called after every fault-detection
 	// episode with the detection/correction deltas since the previous
