@@ -155,7 +155,7 @@ func SolveBlock(a *sparse.CSR, bs [][]float64, cfg BlockConfig, sts []Stats, err
 	costs := NewCosts(live, base.Scheme, base.Costs)
 	bw.prot = renew(bw.prot, live, abftMode(base.Scheme), base.Pool)
 	prot := bw.prot
-	d, s := intervals(a, base, 0)
+	d, s := intervals(a, base)
 
 	// Each lane's engine is set up as Solve sets up its own, over the
 	// shared working matrix and encoding.

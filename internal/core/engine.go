@@ -124,20 +124,23 @@ func (w *Workspace) prepare(name string, a *sparse.CSR, b []float64, cfg Config)
 		w.prot = renew(w.prot, w.live, abftMode(cfg.Scheme), cfg.Pool)
 		prot = w.prot
 	}
-	alpha := 0.0
-	if cfg.Injector != nil {
-		alpha = cfg.Injector.Alpha()
-	}
-	d, s := intervals(a, cfg, alpha)
+	d, s := intervals(a, cfg)
 	return w.engine(name, w.live, prot, NewCosts(w.live, cfg.Scheme, cfg.Costs), b, cfg, d, s), nil
 }
 
 // intervals returns the verification and checkpoint intervals: cfg's when
-// set, model-optimal otherwise, and d = 1 under the ABFT schemes, which
-// verify every iteration by construction.
-func intervals(a *sparse.CSR, cfg Config, alpha float64) (d, s int) {
+// set, model-optimal at the injector's fault rate otherwise, and d = 1
+// under the ABFT schemes, which verify every iteration by construction.
+func intervals(a *sparse.CSR, cfg Config) (d, s int) {
 	d, s = cfg.D, cfg.S
+	if cfg.Scheme != OnlineDetection {
+		d = 1
+	}
 	if d == 0 || s == 0 {
+		alpha := 0.0
+		if cfg.Injector != nil {
+			alpha = cfg.Injector.Alpha()
+		}
 		od, os := OptimalIntervals(a, cfg.Scheme, alpha, cfg.Costs)
 		if d == 0 {
 			d = od
@@ -145,9 +148,6 @@ func intervals(a *sparse.CSR, cfg Config, alpha float64) (d, s int) {
 		if s == 0 {
 			s = os
 		}
-	}
-	if cfg.Scheme != OnlineDetection {
-		d = 1
 	}
 	return d, s
 }
