@@ -9,13 +9,13 @@ import (
 )
 
 // Workspace is the reusable arena of the resilient drivers. A solve that
-// carries one (Config.Ws) draws its
-// working matrix copy, iteration vectors, checksum encodings, vector
-// guards and checkpoint stores from the workspace instead of the heap, so
-// repeated solves — the inner loop of every fault campaign — allocate
-// nothing once the workspace is warm. Reuse across different solvers,
-// schemes and matrix sizes is supported (storage grows as needed); sharing
-// one workspace between concurrent solves is not.
+// carries one (Config.Ws) draws its working matrix copy, iteration
+// vectors, checksum encodings, vector guards and checkpoint stores from
+// the workspace instead of the heap, so repeated solves — the inner loop
+// of every fault campaign — allocate nothing once the workspace is warm.
+// Reuse across different solvers, schemes and matrix sizes is supported
+// (storage grows as needed); sharing one workspace between concurrent
+// solves is not.
 type Workspace struct {
 	live, liveM *sparse.CSR
 	bufs        [][]float64
